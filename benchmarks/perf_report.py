@@ -409,8 +409,6 @@ def bench_colgen(name: str, case: Callable[[], object]) -> Dict[str, object]:
         "rounds": stats.get("rounds"),
         "columns": stats.get("columns"),
         "columns_priced": stats.get("columns_priced"),
-        "jobs": stats.get("jobs"),
-        "parallel_speedup": round(stats.get("parallel_speedup") or 0, 3),
         "master_s": round(stats.get("master_s") or 0, 5),
         "pricing_s": round(stats.get("pricing_s") or 0, 5),
     }
@@ -605,58 +603,6 @@ def bench_sim_reference_only(name, periods) -> Dict[str, object]:
     }
 
 
-def bench_colgen_parallel() -> Dict[str, object]:
-    """Honest jobs>1 numbers for the colgen pricing pool on this machine.
-
-    The ring128 tier is re-solved with ``jobs=1`` and ``jobs=2``; the
-    recorded ``parallel_speedup`` is serial-pricing-time / pool-wall, so
-    on a single-CPU container it sits near (or below) 1 — the point of
-    the record is that the pool path works, stays bit-identical, and the
-    chunked ``pool.map`` does not regress the serial path.
-    """
-    import os
-
-    from repro.collectives import solve_collective
-
-    def solve(jobs):
-        g = ring(128, cost=1)
-        nodes = g.nodes()
-        return solve_collective(ScatterProblem(g, nodes[0], nodes[1:]),
-                                backend="auto", cache=False, jobs=jobs)
-
-    out: Dict[str, object] = {
-        "cpus": os.cpu_count(),
-        "note": "single-CPU container: compare jobs1 vs jobs2 *wall* "
-                "times for the honest cost of the pool (expect a modest "
-                "overhead, no win without parallel hardware); the "
-                "in-worker parallel_speedup ratio inflates under "
-                "timesharing because per-task serial times are measured "
-                "inside concurrently-scheduled workers.  The record pins "
-                "jobs-invariance of the optimum and the chunked pricing "
-                "path",
-    }
-    base = None
-    for jobs in (1, 2):
-        t0 = time.perf_counter()
-        sol = solve(jobs)
-        wall = time.perf_counter() - t0
-        stats = sol.lp_solution.stats
-        assert stats.get("engine") == "colgen"
-        if base is None:
-            base = sol.throughput
-        assert sol.throughput == base, "colgen optimum depends on jobs"
-        out[f"jobs{jobs}"] = {
-            "solve_s": round(wall, 5),
-            "pricing_s": round(stats.get("pricing_s") or 0, 5),
-            "pricing_chunk": stats.get("pricing_chunk"),
-            "parallel_speedup": round(stats.get("parallel_speedup") or 0, 3),
-            "columns_digest": stats.get("columns_digest"),
-        }
-    assert out["jobs1"]["columns_digest"] == out["jobs2"]["columns_digest"], \
-        "colgen column admission depends on worker count"
-    return out
-
-
 def run_sim() -> Dict[str, object]:
     cases: Dict[str, object] = {}
 
@@ -697,7 +643,6 @@ def run_sim() -> Dict[str, object]:
             "machine": _platform.machine(),
         },
         "sim_cases": cases,
-        "colgen_parallel": bench_colgen_parallel(),
     }
 
 
@@ -1008,10 +953,6 @@ def main() -> None:
             else:
                 print(f"{name:>40}: {c['replay_s']:>8}s "
                       f"({c['periods']}p)  [{c['engine']} engine]")
-        par = report["colgen_parallel"]
-        print(f"{'colgen_parallel(ring128)':>40}: jobs1 "
-              f"{par['jobs1']['solve_s']}s  jobs2 {par['jobs2']['solve_s']}s"
-              f"  (pool speedup {par['jobs2']['parallel_speedup']})")
         print(f"wrote {SIM_PATH}")
         return
     if args.colgen:

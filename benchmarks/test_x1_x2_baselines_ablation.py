@@ -3,7 +3,9 @@ paper's examples motivate.
 
 X1 — who wins: the LP schedule's measured throughput against direct
 (store-and-forward) scatter and flat/binary-tree reduce on the paper's
-platforms.  The paper's thesis predicts the LP wins or ties everywhere.
+platforms.  Each baseline is a fixed per-operation plan replayed on the
+same periodic pipeline as the LP, at its exact ``1 / max load`` rate.  The
+paper's thesis predicts the LP wins or ties everywhere.
 
 X2 — why it wins: (a) multi-route vs single shortest-path-tree routing for
 scatter; (b) multi-tree mixing vs the best single reduction tree for
@@ -13,9 +15,13 @@ reduce (Figures 11-12's two trees).
 from fractions import Fraction
 
 from repro.baselines.reduce_baselines import (
-    best_single_tree_throughput, binary_tree_reduce, flat_tree_reduce,
+    best_single_tree_throughput, binary_reduce_tree, flat_reduce_tree,
+    single_tree_solution,
 )
-from repro.baselines.scatter_baselines import direct_scatter, spt_scatter_throughput
+from repro.baselines.scatter_baselines import (
+    direct_scatter_solution, spt_scatter_throughput,
+)
+from repro.collectives import schedule_collective
 from repro.core.reduce_op import ReduceProblem, solve_reduce
 from repro.core.scatter import ScatterProblem, build_scatter_schedule, solve_scatter
 from repro.core.schedule import build_reduce_schedule
@@ -24,7 +30,16 @@ from repro.platform.examples import (
     figure9_participants, figure9_platform, figure9_target,
 )
 from repro.platform.graph import PlatformGraph
-from repro.sim.executor import simulate_reduce, simulate_scatter
+from repro.sim.executor import (
+    simulate_collective, simulate_reduce, simulate_scatter,
+)
+
+
+def _replay(solution, problem, n_periods=60):
+    return simulate_collective(schedule_collective(solution), problem,
+                               n_periods=n_periods,
+                               collective=solution.collective,
+                               record_trace=False)
 
 
 def test_x1_scatter_lp_vs_direct(benchmark, report):
@@ -32,14 +47,16 @@ def test_x1_scatter_lp_vs_direct(benchmark, report):
     sol = solve_scatter(problem, backend="exact")
     sched = build_scatter_schedule(sol)
     lp_run = simulate_scatter(sched, problem, n_periods=60, record_trace=False)
-    direct = benchmark(lambda: direct_scatter(problem, n_ops=60,
-                                              record_trace=False))
+    direct = direct_scatter_solution(problem)
+    run = benchmark(lambda: _replay(direct, problem))
+    direct_tp = run.steady_window_throughput()
     report.row("X1 scatter (Fig 2): LP steady throughput", "1/2 (optimal)",
                round(float(lp_run.measured_throughput()), 4))
     report.row("X1 scatter (Fig 2): direct store-and-forward", "<= 1/2",
-               round(direct.throughput, 4))
-    assert direct.throughput <= float(sol.throughput) + 1e-9
-    assert lp_run.measured_throughput() >= direct.throughput - 0.02
+               direct_tp)
+    assert run.correct and direct_tp == direct.throughput
+    assert direct_tp <= sol.throughput
+    assert lp_run.steady_window_throughput() >= direct_tp
 
 
 def test_x1_reduce_lp_vs_trees(benchmark, report):
@@ -49,21 +66,22 @@ def test_x1_reduce_lp_vs_trees(benchmark, report):
     sched = build_reduce_schedule(sol)
     lp_run = simulate_reduce(sched, problem, n_periods=60, record_trace=False)
 
-    def run_baselines():
-        return (flat_tree_reduce(problem, n_ops=60, record_trace=False),
-                binary_tree_reduce(problem, n_ops=60, record_trace=False))
-
-    flat, binary = benchmark(run_baselines)
+    flat = single_tree_solution(flat_reduce_tree(problem), problem)
+    binary = single_tree_solution(binary_reduce_tree(problem), problem)
+    flat_run, binary_run = benchmark(
+        lambda: (_replay(flat, problem), _replay(binary, problem)))
     report.row("X1 reduce (Fig 6): LP steady throughput", "1 (optimal)",
                round(float(lp_run.measured_throughput()), 4))
-    report.row("X1 reduce (Fig 6): flat tree", "< 1", round(flat.throughput, 4))
+    report.row("X1 reduce (Fig 6): flat tree", "< 1",
+               flat_run.steady_window_throughput())
     report.row("X1 reduce (Fig 6): binary tree", "<= 1",
-               round(binary.throughput, 4))
-    assert flat.correct and binary.correct
-    assert flat.throughput <= 1 + 1e-9
-    assert binary.throughput <= 1 + 1e-9
-    assert lp_run.measured_throughput() >= max(flat.throughput,
-                                               binary.throughput) - 0.05
+               binary_run.steady_window_throughput())
+    for base, run in ((flat, flat_run), (binary, binary_run)):
+        assert run.correct
+        assert run.steady_window_throughput() == base.throughput
+        assert base.throughput <= sol.throughput
+    assert lp_run.steady_window_throughput() >= max(flat.throughput,
+                                                    binary.throughput)
 
 
 def test_x2_multiroute_ablation(benchmark, report):

@@ -17,8 +17,13 @@ Quickstart::
     result = simulate_scatter(schedule, problem, n_periods=50)
     assert result.correct
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure.
+Layout: ``platform`` (graphs, generators, the paper's figures), ``lp``
+(exact and float solvers), ``core`` (the paper's LPs, trees and periodic
+schedules), ``collectives`` (the registry-driven solve → schedule →
+simulate pipeline), ``sim`` (periodic replay on the one-port model),
+``baselines`` (classical plans on the same pipeline) and ``mpi``
+(``SimComm``).  ``pytest benchmarks/`` prints the paper-vs-measured row
+of every figure.
 """
 
 __version__ = "1.0.0"

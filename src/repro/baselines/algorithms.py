@@ -1,9 +1,7 @@
 """Classical collective algorithms as registered ``CollectiveSpec`` plug-ins.
 
-The seed baselines (:mod:`repro.baselines.scatter_baselines`,
-:mod:`repro.baselines.reduce_baselines`) replay store-and-forward runs on
-an event-driven network model, outside the unified pipeline.  This module
-instead expresses the classical algorithms practitioners actually deploy —
+Like the tree baselines of :mod:`repro.baselines.reduce_baselines`, this
+module expresses the classical algorithms practitioners actually deploy —
 fixed-route scatter, ring reduce-scatter / all-gather, recursive halving /
 doubling, and Rabenseifner's all-reduce (reduce-scatter ∘ all-gather,
 Träff 2024) — as *analytic steady-state solutions*: each algorithm is a

@@ -1,14 +1,17 @@
-"""Makespan-oriented and single-tree reduce baselines.
+"""Makespan-heuristic and single-tree reduce baselines.
 
 All baselines respect the non-commutative operator: partial results only
-ever merge *adjacent* logical intervals, in order.
+ever merge *adjacent* logical intervals, in order.  Each heuristic is a
+fixed :class:`ReductionTree`; pipelined alone it runs at ``1 / max load``
+(:func:`single_tree_solution`), so it schedules and replays through the
+same periodic pipeline as every LP solution.
 
-``flat_tree_reduce``
+``flat_reduce_tree``
     Every participant ships its value straight to the target along a
     shortest path; the target merges everything itself, left to right.
     This is the trivial MPI_Reduce-on-one-node strategy.
 
-``binary_tree_reduce``
+``binary_reduce_tree``
     A balanced, order-preserving binary merge tree over ranks: interval
     ``[k, m]`` splits at its midpoint; the merge of ``[k, m]`` runs on the
     node hosting the left half's result (data moves right-to-left, as in
@@ -29,107 +32,60 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.scatter_baselines import BaselineRun
 from repro.core.reduce_op import ReduceProblem
-from repro.core.trees import ReductionTree
+from repro.core.trees import ReductionTree, TreeTask, TreeTransfer
 from repro.platform.graph import NodeId
 from repro.platform.routing import shortest_path
-from repro.sim.metrics import steady_throughput
-from repro.sim.network import OnePortNetwork
-from repro.sim.operators import SeqConcat
-from repro.sim.trace import validate_one_port
 
 
-def flat_tree_reduce(problem: ReduceProblem, n_ops: int,
-                     op=SeqConcat, record_trace: bool = True) -> BaselineRun:
+def _route(problem: ReduceProblem, src: NodeId, dst: NodeId,
+           interval, transfers: List[TreeTransfer]) -> None:
+    """Forward ``v[interval]`` store-and-forward along a shortest path."""
+    path = shortest_path(problem.platform, src, dst)
+    if path is None:
+        raise ValueError(f"{src!r} cannot reach {dst!r}")
+    transfers.extend(TreeTransfer(src=u, dst=v, interval=interval)
+                     for u, v in zip(path, path[1:]))
+
+
+def flat_reduce_tree(problem: ReduceProblem) -> ReductionTree:
     """Everyone sends to the target; the target merges alone, in order."""
-    g = problem.platform
     n = problem.n_values
-    net = OnePortNetwork(g, record_trace=record_trace)
-    routes = {}
+    transfers: List[TreeTransfer] = []
     for j in range(n):
-        src = problem.owner(j)
-        if src == problem.target:
-            continue
-        path = shortest_path(g, src, problem.target)
-        if path is None:
-            raise ValueError(f"participant {src!r} cannot reach the target")
-        routes[j] = path
-    completions: List[object] = []
-    errors: List[str] = []
-    for stamp in range(n_ops):
-        arrive = {}
-        values = {}
-        for j in range(n):
-            values[j] = op.leaf(j, stamp)
-            if j in routes:
-                arrive[j] = net.route_transfer(routes[j],
-                                               problem.size((j, j)), 0)
-            else:
-                arrive[j] = 0
-        # target merges left to right; merge j needs v[0,j-1] and v_j
-        acc = values[0]
-        ready = arrive[0]
-        for j in range(1, n):
-            ready = max(ready, arrive[j])
-            ready = net.compute(problem.target,
-                                problem.task_time(problem.target, (0, j - 1, j)),
-                                ready)
-            acc = op.combine(acc, values[j])
-        if acc != op.expected(n, stamp):
-            errors.append(f"wrong result for stamp {stamp}")
-        completions.append(ready)
-    violations = validate_one_port(net.trace) if net.trace is not None else []
-    violations += errors
-    return BaselineRun(name="flat-tree-reduce", n_ops=n_ops,
-                       completion_times=completions,
-                       makespan=completions[-1] if completions else 0,
-                       throughput=steady_throughput(completions),
-                       one_port_violations=violations)
+        if problem.owner(j) != problem.target:
+            _route(problem, problem.owner(j), problem.target, (j, j),
+                   transfers)
+    # merge j folds v_j into v[0, j-1]
+    tasks = [TreeTask(node=problem.target, task=(0, j - 1, j))
+             for j in range(1, n)]
+    return ReductionTree(weight=None, transfers=tuple(transfers),
+                         tasks=tuple(tasks))
 
 
-def _binary_merge(problem: ReduceProblem, net: OnePortNetwork, op,
-                  k: int, m: int, stamp: int) -> Tuple[NodeId, object, object]:
-    """Recursively reduce interval [k, m]; returns (node, ready time, value)."""
-    if k == m:
-        return problem.owner(k), 0, op.leaf(k, stamp)
-    mid = (k + m) // 2
-    ln, lt, lv = _binary_merge(problem, net, op, k, mid, stamp)
-    rn, rt, rv = _binary_merge(problem, net, op, mid + 1, m, stamp)
-    if rn != ln:
-        path = shortest_path(problem.platform, rn, ln)
-        if path is None:
-            raise ValueError(f"{rn!r} cannot reach {ln!r}")
-        rt = net.route_transfer(path, problem.size((mid + 1, m)), rt)
-    ready = net.compute(ln, problem.task_time(ln, (k, mid, m)), max(lt, rt))
-    return ln, ready, op.combine(lv, rv)
+def binary_reduce_tree(problem: ReduceProblem) -> ReductionTree:
+    """Order-preserving balanced binary merge tree."""
+    transfers: List[TreeTransfer] = []
+    tasks: List[TreeTask] = []
 
+    def merge(k: int, m: int) -> NodeId:
+        """Reduce interval [k, m]; returns the node holding the result."""
+        if k == m:
+            return problem.owner(k)
+        mid = (k + m) // 2
+        left = merge(k, mid)
+        right = merge(mid + 1, m)
+        if right != left:
+            _route(problem, right, left, (mid + 1, m), transfers)
+        tasks.append(TreeTask(node=left, task=(k, mid, m)))
+        return left
 
-def binary_tree_reduce(problem: ReduceProblem, n_ops: int,
-                       op=SeqConcat, record_trace: bool = True) -> BaselineRun:
-    """Order-preserving balanced binary merge tree, pipelined greedily."""
-    g = problem.platform
     n = problem.n_values
-    net = OnePortNetwork(g, record_trace=record_trace)
-    completions: List[object] = []
-    errors: List[str] = []
-    for stamp in range(n_ops):
-        node, ready, value = _binary_merge(problem, net, op, 0, n - 1, stamp)
-        if node != problem.target:
-            path = shortest_path(g, node, problem.target)
-            if path is None:
-                raise ValueError(f"{node!r} cannot reach the target")
-            ready = net.route_transfer(path, problem.size((0, n - 1)), ready)
-        if value != op.expected(n, stamp):
-            errors.append(f"wrong result for stamp {stamp}")
-        completions.append(ready)
-    violations = validate_one_port(net.trace) if net.trace is not None else []
-    violations += errors
-    return BaselineRun(name="binary-tree-reduce", n_ops=n_ops,
-                       completion_times=completions,
-                       makespan=completions[-1] if completions else 0,
-                       throughput=steady_throughput(completions),
-                       one_port_violations=violations)
+    root = merge(0, n - 1)
+    if root != problem.target:
+        _route(problem, root, problem.target, (0, n - 1), transfers)
+    return ReductionTree(weight=None, transfers=tuple(transfers),
+                         tasks=tuple(tasks))
 
 
 def single_tree_resource_load(tree: ReductionTree,
@@ -161,9 +117,11 @@ def single_tree_solution(tree: ReductionTree,
     ``rate = 1 / max_load``, kept an exact ``Fraction`` for rational
     loads (``1 / worst`` in floats can round an occupation of exactly 1
     to just above it and trip the one-port check).  The returned solution
-    runs the same ``verify()`` / ``edge_occupation()`` / ``alpha()`` path
-    as every LP solution — the analytic accounting is cross-checked
-    against the registered reduce spec's invariants, not trusted.
+    carries the tree at that weight, so ``schedule_collective`` replays
+    exactly this tree, and it runs the same ``verify()`` /
+    ``edge_occupation()`` / ``alpha()`` path as every LP solution — the
+    analytic accounting is cross-checked against the registered reduce
+    spec's invariants, not trusted.
     """
     from repro.core.reduce_op import ReduceSolution
 
@@ -180,9 +138,12 @@ def single_tree_solution(tree: ReductionTree,
     for tk in tree.tasks:
         key = (tk.node, tk.task)
         cons[key] = cons.get(key, 0) + rate
+    weighted = ReductionTree(weight=rate, transfers=tree.transfers,
+                             tasks=tree.tasks)
     return ReduceSolution(problem=problem, throughput=rate, send=send,
                           cons=cons, lp_solution=None,
-                          exact=isinstance(rate, Fraction))
+                          exact=isinstance(rate, Fraction),
+                          trees=[weighted])
 
 
 def best_single_tree_throughput(trees: Sequence[ReductionTree],

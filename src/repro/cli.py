@@ -75,10 +75,6 @@ def _add_solve_subcommand(sub, spec) -> None:
     sp.add_argument("--backend", default="auto",
                     choices=["auto", "exact", "tableau", "revised", "highs",
                              "colgen"])
-    sp.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="pricing worker processes for the colgen backend "
-                         "(default: REPRO_JOBS or the CPU count; results "
-                         "are identical for any value)")
     sp.add_argument("--lp-stats", action="store_true",
                     help="print solver statistics (pivot counts, LU "
                          "refactorizations, crash path, per-phase timings) "
@@ -119,7 +115,6 @@ def _cmd_solve(spec, args) -> int:
     sol = solve_collective(problem, collective=spec.name,
                            backend=args.backend,
                            mode=getattr(args, "mode", None),
-                           jobs=getattr(args, "jobs", None),
                            on_infeasible=args.on_infeasible)
     print(f"platform {g.name}: TP = {sol.throughput}"
           f"{spec.tp_suffix(problem, sol)}")
@@ -175,8 +170,7 @@ def _print_lp_stats(sol) -> None:
                   f"skipped {stats['pricing_skipped']}")
             print(f"    time: master {stats['master_s']:.3f}s "
                   f"({stats['master_pivots']} pivots), pricing "
-                  f"{stats['pricing_s']:.3f}s on {stats['jobs']} job(s) "
-                  f"(speedup {stats['parallel_speedup']:.2f}x)")
+                  f"{stats['pricing_s']:.3f}s")
             continue
         if "path" not in stats:
             # tableau/HiGHS solves carry only the dispatch-stamped

@@ -20,15 +20,27 @@ We implement the classical Birkhoff–von-Neumann-style constructive proof:
 4. report each matching restricted to its real (non-dummy) edges with its
    duration ``θ``; durations sum to exactly ``T``.
 
-Everything is exact when fed Fractions.
+Weights must be exact (int or ``Fraction``): with floats the padding's
+deficits need not cancel, so inexact input is refused up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 PortId = Hashable
+
+
+class DecompositionError(ValueError):
+    """The matching decomposition (or slot packing) could not complete."""
+
+
+def require_exact(x) -> None:
+    """Raise ``TypeError`` unless ``x`` is an int or a ``Fraction``."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"need exact rational, got {type(x).__name__}")
 
 
 @dataclass
@@ -67,8 +79,13 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
     ``cap`` is the period ``T``; it must dominate every port's weighted
     degree.  Defaults to the maximum weighted degree.  Returned durations sum
     to ``cap`` (idle time shows up as matchings with an empty ``pairs`` list
-    when every remaining edge is a dummy).
+    when every remaining edge is a dummy).  Weights and ``cap`` must be
+    int or ``Fraction`` (``TypeError`` otherwise).
     """
+    for _u, _v, w in edges:
+        require_exact(w)
+    if cap is not None:
+        require_exact(cap)
     edges = [(u, v, w) for (u, v, w) in edges if w > 0]
     if not edges:
         return []
@@ -108,7 +125,7 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
         if deficit_v[v] == 0:
             iv += 1
     if any(deficit_u[u] != 0 for u in senders) or any(deficit_v[v] != 0 for v in receivers):
-        raise AssertionError("padding failed — unbalanced deficits")
+        raise DecompositionError("padding failed — unbalanced deficits")
 
     # --- peel perfect matchings ---
     out: List[Matching] = []
@@ -157,7 +174,7 @@ def _perfect_matching(edges: List[_MEdge], senders: List[PortId],
     try:
         for u in senders:
             if not try_augment(u, set()):
-                raise AssertionError(
+                raise DecompositionError(
                     f"no perfect matching — graph not regular? stuck at {u!r}")
     finally:
         sys.setrecursionlimit(old_limit)

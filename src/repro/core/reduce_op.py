@@ -236,7 +236,8 @@ class ReduceSolution(CollectiveSolution):
 def solve_reduce(problem: ReduceProblem, backend: str = "auto",
                  eps: float = 1e-9, **solve_kwargs) -> ReduceSolution:
     """Solve ``SSR(G)``; per-interval transfer cycles are cancelled so tree
-    extraction terminates (see DESIGN.md decision 3).  Registry-backed
+    extraction terminates (``FIND_TREE`` can walk such a cycle forever,
+    see :mod:`repro.core.trees`).  Registry-backed
     wrapper over :func:`repro.collectives.solve_collective`; extra
     keywords (``canonical``, ``warm_start``, ...) reach
     :func:`repro.lp.solve`."""

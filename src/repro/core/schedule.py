@@ -53,7 +53,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.matching import decompose_matchings
+from repro.core.matching import (DecompositionError, decompose_matchings,
+                                 require_exact)
 from repro.platform.graph import NodeId
 
 Item = Hashable  # message-type token, e.g. ("msg", k) or ("val", (k, m), tree)
@@ -382,7 +383,13 @@ def schedule_from_rates(
         ``"always"`` — require it; ``"never"`` — only counts integral;
         ``"auto"`` (default) — require it unless the resulting period
         exceeds ``10**6`` times the counts-only period.
+
+    Inexact rates or unit times raise ``TypeError`` up front.
     """
+    for _r, t in rates.values():
+        require_exact(t)
+    for _r, _i, t in (compute_rates or {}).values():
+        require_exact(t)
     count_rates = [r for (r, _t) in rates.values()] + [throughput]
     time_rates = [r * t for (r, t) in rates.values()]
     if compute_rates:
@@ -461,7 +468,7 @@ def schedule_from_rates(
         slots.append(slot)
     leftovers = {k: q for k, q in remaining.items() if q}
     if leftovers:
-        raise AssertionError(f"unallocated transfer time: {leftovers}")
+        raise DecompositionError(f"unallocated transfer time: {leftovers}")
 
     compute: Dict[NodeId, List[ComputeTask]] = {}
     if compute_rates:

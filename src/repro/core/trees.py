@@ -11,7 +11,7 @@ of its tasks, subtract, repeat until the whole throughput ``TP`` is
 accounted for.  Theorem 1: at most ``2 n^4`` trees, each extraction in
 polynomial time, and the weighted trees sum exactly to the solution used.
 
-Termination safeguard (DESIGN.md decision 3): ``FIND_TREE`` as printed can
+Termination safeguard: ``FIND_TREE`` as printed can
 chase its own tail on solutions containing per-interval transfer cycles.
 :func:`repro.core.reduce_op.solve_reduce` cancels those cycles up front, and
 the resolver below prefers in-place production over transfers; under those

@@ -28,15 +28,12 @@ This module solves such LPs by the classic decomposition:
   ray is always *new* — finitely many slice vertices per block bound
   the round count.
 
-Pricing across blocks is embarrassingly parallel and fans out over a
-``concurrent.futures`` process pool (``jobs``/``REPRO_JOBS``).  The
-result is **deterministic and independent of the worker count**: per
-block the subproblem is a deterministic solve seeded only by the duals
-and the block's *own* previous basis (warm bases travel through the
-parent, never through worker-local caches), and the admitted columns
-are ordered by a stable key — ``(block id, sorted vertex)`` — not by
-arrival.  ``jobs`` therefore changes wall-clock only, never the
-solution or the column set (enforced by ``tests/lp/test_colgen.py``).
+Pricing runs serially, block by block, and the result is
+**deterministic**: per block the subproblem is a pure function of the
+duals and the block's *own* warm token (its previous basis), and the
+admitted columns are ordered by a stable key — ``(block id, sorted
+vertex)`` — not by pricing order.  Two solves of one LP return the same
+values and the same column set (enforced by ``tests/lp/test_colgen.py``).
 
 :func:`solve_colgen` is wired into :func:`repro.lp.dispatch.solve` as
 ``backend="colgen"`` and picked automatically above
@@ -91,42 +88,13 @@ ZERO = Fraction(0)
 _DEBUG = os.environ.get("REPRO_COLGEN_DEBUG") == "1"
 
 
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit ``jobs``, else ``REPRO_JOBS``, else 1."""
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get("REPRO_JOBS", "1"))
-        except ValueError:
-            jobs = 1
-    return max(1, int(jobs))
-
-
-def resolve_chunksize(n_tasks: int, njobs: int) -> int:
-    """Pricing-pool ``pool.map`` chunk size for one round.
-
-    ``REPRO_COLGEN_CHUNK`` pins it; the default heuristic hands each
-    worker ~4 chunks per round (``ceil(n_tasks / (4 * njobs))``), which
-    amortizes per-task pickling/IPC on wide rounds while still letting
-    fast workers steal from stragglers.  Chunking only reorders *when*
-    results come back, never *what* they are — column admission sorts by
-    key, so the optimum stays jobs- and chunk-invariant.
-    """
-    try:
-        pinned = int(os.environ.get("REPRO_COLGEN_CHUNK", "0"))
-    except ValueError:
-        pinned = 0
-    if pinned > 0:
-        return pinned
-    return max(1, -(-n_tasks // (4 * max(1, njobs))))
-
-
 # ----------------------------------------------------------------------
 # structure detection
 # ----------------------------------------------------------------------
 
 @dataclass
 class _BlockPayload:
-    """One commodity block, picklable for the worker pool.
+    """One commodity block, as the master loop and its pricer see it.
 
     ``rows`` and ``graph`` use *local* variable indices (positions in
     ``var_idx``); ``master_coefs[j]`` lists this variable's coefficients
@@ -233,17 +201,17 @@ def detect(lp: LinearProgram,
         return None
     if pricing:
         _attach_graphs(lp, blocks, pricing)
-    mrow_pos = {ci: pos for pos, ci in enumerate(master_rows)}
+    # one pass over the master rows: each block variable's coefficient
+    # list, in master-row order
+    mcoefs: Dict[int, List[Tuple[int, object]]] = {
+        j: [] for b in blocks for j in b.var_idx}
+    for pos, ci in enumerate(master_rows):
+        for j, c in lp.constraints[ci].expr.coefs.items():
+            entries = mcoefs.get(j)
+            if entries is not None:
+                entries.append((pos, c))
     for b in blocks:
-        local = {j: lj for lj, j in enumerate(b.var_idx)}
-        mc: List[List[Tuple[int, object]]] = [[] for _ in b.var_idx]
-        for ci in master_rows:
-            pos = mrow_pos[ci]
-            for j, c in lp.constraints[ci].expr.coefs.items():
-                lj = local.get(j)
-                if lj is not None:
-                    mc[lj].append((pos, c))
-        b.master_coefs = tuple(tuple(e) for e in mc)
+        b.master_coefs = tuple(tuple(mcoefs[j]) for j in b.var_idx)
     master_idx = sorted([j for j in range(n) if master_var[j]]
                         + master_extra)
     return Structure(master_var_idx=master_idx, master_rows=master_rows,
@@ -309,7 +277,7 @@ _FLOAT_EPS = 1e-9
 
 
 class _BlockPricer:
-    """Per-block pricing state living in the parent or a pool worker.
+    """Per-block pricing state.
 
     Small blocks (up to :data:`PRICING_TABLEAU_LIMIT` variables) price
     by an exact tableau solve outright.  Large blocks price
@@ -319,9 +287,8 @@ class _BlockPricer:
     re-solved exactly on its support (a tiny tableau LP), and a
     priced-out verdict is certified by an exact weak-duality check of
     the rationalized float duals.  Only when both fail does the full
-    exact LP run.  Every path is deterministic, so a block prices
-    identically whichever worker runs it; all round-to-round state (the
-    warm basis) is passed in and returned explicitly.
+    exact LP run.  Every path is deterministic; all round-to-round state
+    (the warm basis) is passed in and returned explicitly.
     """
 
     def __init__(self, payload: _BlockPayload) -> None:
@@ -500,8 +467,7 @@ class _BlockPricer:
         checks proves price-out outright (a stale ``u`` only weakens
         the bound, and no ``u`` can pass while an improving ray
         exists).  Keeping this state in the token rather than the
-        pricer makes pricing a pure function of the task, so results
-        cannot depend on which worker ran earlier rounds.
+        pricer makes pricing a pure function of the task.
         """
         f = self._float or self._float_setup()
         cert0 = fwarm[1] if fwarm else None
@@ -633,24 +599,6 @@ def _dijkstra_price(graph: dict, w: List[Fraction], want_any: bool = False):
     return ("col", rc, vertex)
 
 
-# pool workers: payloads ship once through the initializer, warm bases
-# travel with every task (worker-local caches would break the
-# jobs-invariance contract)
-_POOL_PRICERS: Optional[Dict[int, _BlockPricer]] = None
-
-
-def _pool_init(payloads: Sequence[_BlockPayload]) -> None:
-    global _POOL_PRICERS
-    _POOL_PRICERS = {p.bid: _BlockPricer(p) for p in payloads}
-
-
-def _pool_price(task):
-    bid, duals, warm, want_any = task
-    t0 = perf_counter()
-    res = _POOL_PRICERS[bid].price(duals, warm, want_any=want_any)
-    return bid, res, perf_counter() - t0
-
-
 # ----------------------------------------------------------------------
 # the master loop
 # ----------------------------------------------------------------------
@@ -732,7 +680,6 @@ def _direct_fallback(lp: LinearProgram, reason: str) -> LPSolution:
 
 def solve_colgen(lp: LinearProgram,
                  pricing: Optional[Sequence[dict]] = None,
-                 jobs: Optional[int] = None,
                  structure: Optional[Structure] = None,
                  max_rounds: int = MAX_ROUNDS) -> LPSolution:
     """Solve ``lp`` exactly by Dantzig-Wolfe column generation.
@@ -740,9 +687,7 @@ def solve_colgen(lp: LinearProgram,
     ``pricing`` is an optional list of per-commodity pricing graphs
     (``{"source", "sink", "arcs": [(i, j, varname), ...]}``, the
     :meth:`CollectiveSpec.pricing_graphs` format); matched blocks price
-    by shortest path, everything else by a small exact LP.  ``jobs``
-    (default ``REPRO_JOBS``, else 1) prices blocks on a process pool;
-    the returned solution is identical for every worker count.  Run on
+    by shortest path, everything else by a small exact LP.  Run on
     the *raw* LP — presolve substitutions would break the block/name
     structure the decomposition and the graphs rely on.
     """
@@ -755,17 +700,15 @@ def solve_colgen(lp: LinearProgram,
     if structure is None:
         reason = "minimize" if not lp.sense_max else "no blocks"
         return _direct_fallback(lp, reason)
-    jobs = resolve_jobs(jobs)
-    njobs = min(jobs, len(structure.blocks))
     stats: Dict[str, object] = {
         "engine": "colgen", "blocks": len(structure.blocks),
         "path_blocks": sum(1 for b in structure.blocks
                            if b.graph is not None),
         "master_rows": len(structure.master_rows),
         "master_vars": len(structure.master_var_idx),
-        "jobs": njobs, "rounds": 0, "columns": 0, "columns_priced": 0,
+        "rounds": 0, "columns": 0, "columns_priced": 0,
         "pricing_skipped": 0, "seed_columns": 0,
-        "master_s": 0.0, "pricing_s": 0.0, "pricing_serial_s": 0.0,
+        "master_s": 0.0, "pricing_s": 0.0,
         "master_pivots": 0,
     }
 
@@ -776,16 +719,7 @@ def solve_colgen(lp: LinearProgram,
                                            for b in structure.blocks}
     alive = [b.bid for b in structure.blocks]
     solver = RevisedSimplexSolver()
-    pool = None
-    pricers: Dict[int, _BlockPricer] = {}
-    if njobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=njobs,
-                                   initializer=_pool_init,
-                                   initargs=(structure.blocks,))
-    else:
-        pricers = {b.bid: _BlockPricer(b) for b in structure.blocks}
+    pricers = {b.bid: _BlockPricer(b) for b in structure.blocks}
 
     # rows whose duals a block's pricing can see: skip a block when they
     # did not move since its last priced-out round (the result would be
@@ -799,27 +733,16 @@ def solve_colgen(lp: LinearProgram,
     def run_tasks(tasks):
         stats["columns_priced"] += len(tasks)
         t0 = perf_counter()
-        if pool is not None:
-            chunk = resolve_chunksize(len(tasks), njobs)
-            stats["pricing_chunk"] = max(int(stats.get("pricing_chunk", 0)),
-                                         chunk)
-            results = list(pool.map(_pool_price, tasks, chunksize=chunk))
-        else:
-            results = []
-            for task in tasks:
-                t1 = perf_counter()
-                res = pricers[task[0]].price(task[1], task[2],
-                                             want_any=task[3])
-                results.append((task[0], res, perf_counter() - t1))
+        results = [(bid, pricers[bid].price(duals, warm, want_any=want_any))
+                   for bid, duals, warm, want_any in tasks]
         wall = perf_counter() - t0
         stats["pricing_s"] += wall
-        stats["pricing_serial_s"] += sum(r[2] for r in results)
         return results, wall
 
     def harvest(results, live):
         fresh: List[_Column] = []
         dead = set()
-        for bid, res, _secs in results:
+        for bid, res in results:
             if res[0] == "dead":
                 dead.add(bid)
                 continue
@@ -850,94 +773,90 @@ def solve_colgen(lp: LinearProgram,
               if lp.constraints[ci].expr.constant == 0
               or any(j in mset for j in lp.constraints[ci].expr.coefs)]
 
-    try:
-        # seed round: rays of extremal rate per block (any reduced
-        # cost) before the first master, so chain-coupled commodities
-        # (pipelined composites) all carry flow from round 0 — without
-        # them the master sits at TP=0 for tens of rounds while duals
-        # wake the stages up one by one.  Pricing minimizes
-        # w.x = sum_r y_r a_rj x_j, so y = -1 (+1) on the rate rows
-        # maximizes (minimizes) the block's coupling contribution.
-        tp_set = set(tp_pos)
-        seed_tasks = [(bid,
-                       {p: Fraction(s) for p in dual_rows[bid]
-                        if p in tp_set},
-                       None, True)
-                      for bid in alive for s in (-1, 1)]
-        seed_results, _ = run_tasks(seed_tasks)
-        stats["seed_columns"] = len(harvest(seed_results, alive))
+    # seed round: rays of extremal rate per block (any reduced
+    # cost) before the first master, so chain-coupled commodities
+    # (pipelined composites) all carry flow from round 0 — without
+    # them the master sits at TP=0 for tens of rounds while duals
+    # wake the stages up one by one.  Pricing minimizes
+    # w.x = sum_r y_r a_rj x_j, so y = -1 (+1) on the rate rows
+    # maximizes (minimizes) the block's coupling contribution.
+    tp_set = set(tp_pos)
+    seed_tasks = [(bid,
+                   {p: Fraction(s) for p in dual_rows[bid]
+                    if p in tp_set},
+                   None, True)
+                  for bid in alive for s in (-1, 1)]
+    seed_results, _ = run_tasks(seed_tasks)
+    stats["seed_columns"] = len(harvest(seed_results, alive))
+    stats["columns"] = len(columns)
+
+    master_res = None
+    inc: Optional[IncrementalColumnMaster] = None
+    pending: List[_Column] = []     # admitted, not yet in the master
+    for rnd in range(max_rounds):
+        t0 = perf_counter()
+        res = None
+        if inc is not None and inc.live:
+            # hot path: splice the fresh columns into the live core
+            # and continue the primal — no crash, no refactorization
+            res = inc.add_and_resolve(
+                [(c.name, c.row_coefs) for c in pending])
+            if res is not None and res.status is SolveStatus.ERROR:
+                res = None          # poisoned core: full re-solve
+        if res is None:
+            master = _build_master(lp, structure, columns)
+            inc = IncrementalColumnMaster(master, solver)
+            res = inc.solve_full()
+        pending = []
+        master_res = res
+        stats["master_s"] += perf_counter() - t0
+        stats["master_pivots"] += res.pivots
+        if res.status is SolveStatus.UNBOUNDED:
+            # the restricted master's rays expand to rays of the
+            # full LP, so unboundedness transfers directly
+            return LPSolution(SolveStatus.UNBOUNDED, backend="colgen",
+                              lp=lp, stats=stats)
+        if not res.optimal:
+            if rnd == 0 and res.status is SolveStatus.INFEASIBLE:
+                # a zero-column master can be infeasible while the
+                # full LP is not (columns only add feasibility)
+                return _direct_fallback(lp, "master infeasible")
+            return LPSolution(res.status, backend="colgen",
+                              lp=lp, stats=stats,
+                              message=f"master solve failed in round "
+                                      f"{rnd} on {lp.name!r}")
+        duals = res.duals
+        stats["rounds"] = rnd + 1
+
+        # a block whose visible duals match its last priced-out
+        # round would return "none" again bit-identically (pricing
+        # is a pure function of those duals; a block that just
+        # yielded a column always sees moved duals — the new master
+        # optimum prices every admitted column >= 0), so skip it
+        tasks = []
+        for bid in alive:
+            key = tuple(duals.get(pos) for pos in dual_rows[bid])
+            if last_none.get(bid) and last_key.get(bid) == key:
+                stats["pricing_skipped"] += 1
+                continue
+            last_key[bid] = key
+            tasks.append((bid, duals, warm_of[bid], False))
+        results, wall = run_tasks(tasks)
+        fresh = harvest(results, alive)
+        if _DEBUG:
+            print(f"[colgen] {lp.name} round {rnd}: "
+                  f"obj={res.objective} fresh={len(fresh)} "
+                  f"priced={len(tasks)} alive={len(alive)} "
+                  f"wall={wall:.3f}s", flush=True)
+        if not fresh:
+            break
+        pending = fresh
         stats["columns"] = len(columns)
-
-        master_res = None
-        inc: Optional[IncrementalColumnMaster] = None
-        pending: List[_Column] = []     # admitted, not yet in the master
-        for rnd in range(max_rounds):
-            t0 = perf_counter()
-            res = None
-            if inc is not None and inc.live:
-                # hot path: splice the fresh columns into the live core
-                # and continue the primal — no crash, no refactorization
-                res = inc.add_and_resolve(
-                    [(c.name, c.row_coefs) for c in pending])
-                if res is not None and res.status is SolveStatus.ERROR:
-                    res = None          # poisoned core: full re-solve
-            if res is None:
-                master = _build_master(lp, structure, columns)
-                inc = IncrementalColumnMaster(master, solver)
-                res = inc.solve_full()
-            pending = []
-            master_res = res
-            stats["master_s"] += perf_counter() - t0
-            stats["master_pivots"] += res.pivots
-            if res.status is SolveStatus.UNBOUNDED:
-                # the restricted master's rays expand to rays of the
-                # full LP, so unboundedness transfers directly
-                return LPSolution(SolveStatus.UNBOUNDED, backend="colgen",
-                                  lp=lp, stats=stats)
-            if not res.optimal:
-                if rnd == 0 and res.status is SolveStatus.INFEASIBLE:
-                    # a zero-column master can be infeasible while the
-                    # full LP is not (columns only add feasibility)
-                    return _direct_fallback(lp, "master infeasible")
-                return LPSolution(res.status, backend="colgen",
-                                  lp=lp, stats=stats,
-                                  message=f"master solve failed in round "
-                                          f"{rnd} on {lp.name!r}")
-            duals = res.duals
-            stats["rounds"] = rnd + 1
-
-            # a block whose visible duals match its last priced-out
-            # round would return "none" again bit-identically (pricing
-            # is a pure function of those duals; a block that just
-            # yielded a column always sees moved duals — the new master
-            # optimum prices every admitted column >= 0), so skip it
-            tasks = []
-            for bid in alive:
-                key = tuple(duals.get(pos) for pos in dual_rows[bid])
-                if last_none.get(bid) and last_key.get(bid) == key:
-                    stats["pricing_skipped"] += 1
-                    continue
-                last_key[bid] = key
-                tasks.append((bid, duals, warm_of[bid], False))
-            results, wall = run_tasks(tasks)
-            fresh = harvest(results, alive)
-            if _DEBUG:
-                print(f"[colgen] {lp.name} round {rnd}: "
-                      f"obj={res.objective} fresh={len(fresh)} "
-                      f"priced={len(tasks)} alive={len(alive)} "
-                      f"wall={wall:.3f}s", flush=True)
-            if not fresh:
-                break
-            pending = fresh
-            stats["columns"] = len(columns)
-        else:
-            return LPSolution(SolveStatus.ERROR, backend="colgen", lp=lp,
-                              stats=stats,
-                              message=f"colgen hit the {max_rounds}-round "
-                                      f"limit on {lp.name!r}")
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    else:
+        return LPSolution(SolveStatus.ERROR, backend="colgen", lp=lp,
+                          stats=stats,
+                          message=f"colgen hit the {max_rounds}-round "
+                                  f"limit on {lp.name!r}")
 
     # expand the master optimum back to original variables
     values: Dict[int, Fraction] = {}
@@ -961,13 +880,10 @@ def solve_colgen(lp: LinearProgram,
                           stats=stats,
                           message=f"expanded colgen optimum violates "
                                   f"{bad[:5]} on {lp.name!r}")
-    # digest of the admitted column keys, in admission order: the
-    # jobs-invariance contract says this never depends on worker count
+    # digest of the admitted column keys, in admission order: two solves
+    # of one LP admit the same columns, so this is reproducible
     stats["columns_digest"] = hashlib.blake2b(
         repr([c.key for c in columns]).encode(), digest_size=8).hexdigest()
-    ser = stats["pricing_serial_s"]
-    stats["parallel_speedup"] = (
-        round(ser / stats["pricing_s"], 2) if stats["pricing_s"] else 1.0)
     stats["total_s"] = perf_counter() - t_start
     return LPSolution(SolveStatus.OPTIMAL,
                       objective=lp.objective.evaluate(values),

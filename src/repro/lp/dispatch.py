@@ -33,8 +33,7 @@ Dantzig-Wolfe **column generation** (:mod:`repro.lp.colgen`,
 :data:`COLGEN_VAR_LIMIT` presolved variables whose raw form decomposes
 into >= 2 commodity blocks route there instead of the monolithic
 revised solve; the restricted masters themselves reuse the revised
-engine.  Pricing parallelism (``jobs``) never changes the returned
-solution, so it is not part of the cache key.
+engine.
 
 Three layers of reuse sit in front of the solvers:
 
@@ -188,8 +187,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
           cache_tag: Optional[str] = None,
           presolve: bool = True,
           dual: bool = False,
-          pricing: Optional[Tuple] = None,
-          jobs: Optional[int] = None) -> LPSolution:
+          pricing: Optional[Tuple] = None) -> LPSolution:
     """Solve ``lp`` with the requested backend.
 
     Parameters
@@ -216,11 +214,6 @@ def solve(lp: LinearProgram, backend: str = "auto",
         :func:`repro.lp.colgen.solve_colgen`) enabling the shortest-path
         pricer; collective specs supply it via their
         ``pricing_graphs`` hook.  Only consulted on the colgen routes.
-    jobs:
-        Worker processes for parallel pricing (default: ``REPRO_JOBS``
-        env var, else serial).  Never affects the returned solution —
-        column admission is ordered by a stable key — so it is not part
-        of the cache key.
     dual:
         Exact path only: enter the dual simplex from the crashed basis
         (``warm_basis`` is the intended companion — the tightened-
@@ -298,7 +291,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
         tag = f"t{cache_tag};" if cache_tag is not None else ""
         # pricing graphs can steer colgen to a different optimal vertex
         # (path columns vs generic LP columns), so their presence splits
-        # the key on the colgen-capable routes; ``jobs`` never does
+        # the key on the colgen-capable routes
         gtag = ("g;" if pricing is not None
                 and backend in ("auto", "colgen") else "")
         key = (f"{backend};{exact_var_limit};{TABLEAU_VAR_LIMIT};"
@@ -342,7 +335,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
             colgen_struct = None
 
     if colgen_route:
-        sol = colgen_mod.solve_colgen(lp, pricing=pricing, jobs=jobs,
+        sol = colgen_mod.solve_colgen(lp, pricing=pricing,
                                       structure=colgen_struct)
         pres = None  # solution is already in raw-variable space
     elif exact_route:

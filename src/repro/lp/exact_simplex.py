@@ -86,7 +86,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lp.model import EQ, GE, LE, LinearProgram
 from repro.lp.solution import LPSolution, SolveStatus
@@ -109,6 +109,7 @@ DEVEX_RESET = 1e10
 
 Row = Dict[int, int]
 Label = Tuple[str, object]
+Rational = Union[int, Fraction]
 
 
 def _reduce_row(d: Row, den: int) -> Tuple[Row, int]:
@@ -127,7 +128,7 @@ def _row_sub(d: Row, den: int, a: int, pd: Row, pden: int) -> Tuple[Row, int]:
     """Return ``(d/den) - (a/den) * (pd/pden)`` as a normalized sparse row.
 
     This is the fraction-free pivot update for *untracked* rows (the
-    reduced-cost rows); tableau rows go through :meth:`_Tableau.sub_into`,
+    reduced-cost rows); tableau rows are updated by :meth:`_Tableau.pivot`,
     which additionally maintains the column index.
     """
     if pden == 1:
@@ -159,7 +160,7 @@ class _Tableau:
     ``D[i]`` is a sparse integer row over common denominator ``W[i] > 0``;
     ``basis[i]`` is its basic column.  ``colrows[c]`` is the *exact* set
     of row indices with a nonzero in column ``c`` (RHS excluded),
-    maintained through fill-in and cancellation by :meth:`sub_into`.
+    maintained through fill-in and cancellation by :meth:`pivot`.
     """
 
     __slots__ = ("D", "W", "basis", "colrows")
@@ -186,36 +187,14 @@ class _Tableau:
         s = self.colrows.get(c)
         return len(s) if s else 0
 
-    def sub_into(self, r: int, a: int, pd: Row, pden: int) -> None:
-        """``row_r -= (a/W_r) * (pd/pden)`` in place, index-maintained."""
-        d = self.D[r]
-        if pden != 1:
-            for c in d:
-                d[c] *= pden
-        colrows = self.colrows
-        get = d.get
-        for c, pv in pd.items():
-            before = get(c)
-            if before is None:  # zeros are never stored: None == absent
-                d[c] = -a * pv  # a, pv nonzero, so this is fill-in
-                if c != RHS:
-                    s = colrows.get(c)
-                    if s is None:
-                        colrows[c] = {r}
-                    else:
-                        s.add(r)
-            else:
-                nv = before - a * pv
-                if nv:
-                    d[c] = nv
-                else:
-                    del d[c]
-                    if c != RHS:
-                        colrows[c].discard(r)
-        _, self.W[r] = _reduce_row(d, self.W[r] * pden)
-
     def pivot(self, i: int, j: int) -> None:
-        """Pivot on entry (i, j): row i gets coefficient 1 at column j."""
+        """Pivot on entry (i, j): row i gets coefficient 1 at column j.
+
+        Every other row ``r`` with a nonzero ``a`` in column ``j`` is
+        updated in place as ``row_r -= (a/W_r) * (row_i/p)``, keeping the
+        column index exact through fill-in and cancellation.  The update
+        is inlined here (it runs once per row per pivot, the solver's
+        innermost loop)."""
         D, W = self.D, self.W
         d = D[i]
         p = d[j]
@@ -227,11 +206,40 @@ class _Tableau:
             p = -p
         d, p = _reduce_row(d, p)  # re-labelled denominator: row_i / pivot
         D[i], W[i] = d, p
-        for r in list(self.colrows.get(j, ())):
-            if r != i:
-                a = D[r].get(j)
-                if a:
-                    self.sub_into(r, a, d, p)
+        colrows = self.colrows
+        pivot_items = list(d.items())
+        for r in list(colrows.get(j, ())):
+            if r == i:
+                continue
+            row = D[r]
+            a = row.get(j)
+            if not a:
+                continue
+            if p != 1:
+                for c in row:
+                    row[c] *= p
+            get = row.get
+            for c, pv in pivot_items:
+                before = get(c)
+                if before is None:  # zeros are never stored: None == absent
+                    row[c] = -a * pv  # a, pv nonzero, so this is fill-in
+                    if c != RHS:
+                        s = colrows.get(c)
+                        if s is None:
+                            colrows[c] = {r}
+                        else:
+                            s.add(r)
+                else:
+                    nv = before - a * pv
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+                        if c != RHS:
+                            colrows[c].discard(r)
+            den = W[r] * p
+            if den != 1:  # unit-denominator rows (the common case) stay put
+                _, W[r] = _reduce_row(row, den)
         self.basis[i] = j
 
     def drop_rows(self, idxs: List[int]) -> None:
@@ -285,15 +293,17 @@ class ExactSimplexSolver:
         lbs = [Fraction(v.lb) for v in lp.variables]
 
         # Raw rows:  sum_j a_ij * y_j  (sense)  b_i   with y = x - lb >= 0.
-        raw: List[Tuple[Dict[int, Fraction], str, Fraction, Label]] = []
+        # Coefficients stay int or Fraction as given (is_rational above);
+        # zero lower bounds, the common case, skip the shift arithmetic.
+        raw: List[Tuple[Dict[int, Rational], str, Fraction, Label]] = []
         for ci, con in enumerate(lp.constraints):
             b = -Fraction(con.expr.constant)
-            coefs: Dict[int, Fraction] = {}
+            coefs: Dict[int, Rational] = {}
             for j, c in con.expr.coefs.items():
-                c = Fraction(c)
                 if c:
                     coefs[j] = c
-                    b -= c * lbs[j]
+                    if lbs[j]:
+                        b -= c * lbs[j]
             raw.append((coefs, con.sense, b, ("s", con.name or f"#c{ci}")))
         for v in lp.variables:
             if v.ub is not None:
@@ -311,8 +321,10 @@ class ExactSimplexSolver:
             den = b.denominator
             for c in coefs.values():
                 den = den // gcd(den, c.denominator) * c.denominator
-            d: Row = {j: int(c * den) for j, c in coefs.items()}
-            bi = int(b * den)
+            # den is a multiple of every denominator: exact int scaling
+            d: Row = {j: c.numerator * (den // c.denominator)
+                      for j, c in coefs.items()}
+            bi = b.numerator * (den // b.denominator)
             if bi < 0:
                 d = {j: -v for j, v in d.items()}
                 bi = -bi

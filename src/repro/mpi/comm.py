@@ -1,9 +1,10 @@
 """``SimComm`` — an mpi4py-flavoured façade over the simulated platform.
 
 Ranks map to compute nodes of a :class:`~repro.platform.graph.PlatformGraph`.
-Single-shot collectives (``scatter``, ``reduce``) run through the greedy
-one-port network and return both the results and the makespan — the
-quantity classical collective algorithms optimize.  The ``*_series``
+Single-shot collectives (``scatter``, ``reduce``) are list-scheduled on a
+small one-port clock (each node's send port, receive port and CPU are
+granted in request order) and return both the results and the makespan —
+the quantity classical collective algorithms optimize.  The ``*_series``
 variants build the paper's steady-state schedules and return measured
 throughput — the quantity this paper optimizes.  Having both on one object
 makes the makespan-vs-throughput contrast of the introduction tangible.
@@ -12,7 +13,8 @@ makes the makespan-vs-throughput contrast of the introduction tangible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.reduce_op import ReduceProblem, solve_reduce
 from repro.core.scatter import ScatterProblem, solve_scatter, build_scatter_schedule
@@ -20,8 +22,40 @@ from repro.core.schedule import build_reduce_schedule
 from repro.platform.graph import NodeId, PlatformGraph
 from repro.platform.routing import shortest_path
 from repro.sim.executor import simulate_reduce, simulate_scatter
-from repro.sim.network import OnePortNetwork
 from repro.sim.operators import SeqConcat, noncommutative_reduce
+
+
+class _PortClock:
+    """When each node's send port, receive port and CPU next fall free.
+
+    A transfer starts once the data is ready and both ports are free, and
+    holds both for ``size * cost``; a task holds the CPU.  Requests are
+    served in call order — list scheduling, which is what defines a
+    single operation's makespan.
+    """
+
+    def __init__(self, platform: PlatformGraph) -> None:
+        self.platform = platform
+        self.free: Dict[tuple, object] = {}
+
+    def _book(self, resources, ready, duration) -> object:
+        start = max([ready] + [self.free.get(r, 0) for r in resources])
+        end = start + duration
+        for r in resources:
+            self.free[r] = end
+        return end
+
+    def route(self, path: List[NodeId], size) -> object:
+        """Store-and-forward from time 0 along ``path``; returns the
+        arrival time."""
+        ready = 0
+        for u, v in zip(path, path[1:]):
+            ready = self._book((("send", u), ("recv", v)), ready,
+                               size * self.platform.cost(u, v))
+        return ready
+
+    def compute(self, node: NodeId, duration, ready) -> object:
+        return self._book((("cpu", node),), ready, duration)
 
 
 @dataclass
@@ -66,14 +100,14 @@ class SimComm:
         return self.ranks[rank]
 
     # ------------------------------------------------------------------
-    # single-shot collectives (makespan semantics, greedy execution)
+    # single-shot collectives (makespan semantics, list scheduling)
     # ------------------------------------------------------------------
     def scatter(self, values: Sequence, root: int = 0) -> Tuple[List, object]:
         """One scatter from ``root``; returns (per-rank values, makespan)."""
         if len(values) != self.size():
             raise ValueError("need exactly one value per rank")
         src = self.node_of(root)
-        net = OnePortNetwork(self.platform, record_trace=False)
+        clock = _PortClock(self.platform)
         out: List = [None] * self.size()
         makespan = 0
         for rank, value in enumerate(values):
@@ -83,7 +117,7 @@ class SimComm:
             path = shortest_path(self.platform, src, self.node_of(rank))
             if path is None:
                 raise ValueError(f"rank {rank} unreachable from root")
-            makespan = max(makespan, net.route_transfer(path, 1, 0))
+            makespan = max(makespan, clock.route(path, 1))
         return out, makespan
 
     def reduce(self, values: Sequence, root: int = 0,
@@ -92,7 +126,7 @@ class SimComm:
         if len(values) != self.size():
             raise ValueError("need exactly one value per rank")
         dst = self.node_of(root)
-        net = OnePortNetwork(self.platform, record_trace=False)
+        clock = _PortClock(self.platform)
         ready = 0
         for rank in range(self.size()):
             if rank == root:
@@ -100,12 +134,12 @@ class SimComm:
             path = shortest_path(self.platform, self.node_of(rank), dst)
             if path is None:
                 raise ValueError(f"rank {rank} cannot reach root")
-            ready = max(ready, net.route_transfer(path, 1, 0))
+            ready = max(ready, clock.route(path, 1))
         result = noncommutative_reduce(list(values), op=op)
         speed = self.platform.speed(dst)
         if speed:
             for j in range(1, self.size()):
-                ready = net.compute(dst, 1 / speed, ready)
+                ready = clock.compute(dst, Fraction(1) / speed, ready)
         return result, ready
 
     # ------------------------------------------------------------------

@@ -55,7 +55,9 @@ engine end to end.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_right, insort
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -87,6 +89,24 @@ try:  # guard against fractions implementations without those slots
                       and _raw_fraction(3, 2) + Fraction(1, 2) == 2)
 except Exception:  # pragma: no cover - exercised only off-CPython
     _FAST_FRACTION = False
+
+
+@contextmanager
+def _gc_paused():
+    """Suspend the cyclic garbage collector for the block.
+
+    Compiling the tables and materializing delivery times (one Fraction
+    per delivery, hundreds of thousands on long replays) are allocation
+    bursts of acyclic objects.  Left on, the collector fires repeatedly
+    inside them and, on a large heap, a full pass can cost more than the
+    block itself.  The collector's previous state is restored on exit."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _rational(x) -> bool:
@@ -394,10 +414,11 @@ class VectorizedExecutor:
         if carry_state:
             extra |= carry_state["avail"].keys()
             extra |= carry_state.get("arriving", {}).keys()
-        self.tables = compile_schedule(schedule, supplies=self.supplies,
-                                       dead_links=self.dead_links,
-                                       dead_nodes=self.dead_nodes,
-                                       extra_keys=sorted(extra, key=repr))
+        with _gc_paused():
+            self.tables = compile_schedule(
+                schedule, supplies=self.supplies,
+                dead_links=self.dead_links, dead_nodes=self.dead_nodes,
+                extra_keys=sorted(extra, key=repr))
         tb = self.tables
         n = len(tb.keys)
         self.avail = np.zeros(n, dtype=np.int64)
@@ -839,34 +860,36 @@ class VectorizedExecutor:
         long replays, so for integral period starts the sum is assembled
         directly: offsets are normalized (``gcd(num, den) == 1``), hence
         ``(start * den + num) / den`` is already in lowest terms and the
-        general-purpose normalizing constructor can be skipped."""
-        delivery_times: Dict[Item, List[object]] = {
-            it: [] for it in self._delivery_items}
-        num_den: Dict[int, List[Tuple[Item, int, int, int]]] = {}
-        for start, pid in zip(self._period_starts, self._period_pattern):
-            s_int = start if type(start) is int else (
-                start.numerator if isinstance(start, Fraction)
-                and start.denominator == 1 else None)
-            if _FAST_FRACTION and s_int is not None:
-                evs = num_den.get(pid)
-                if evs is None:
-                    evs = num_den[pid] = [
-                        (it, Fraction(off).numerator,
-                         Fraction(off).denominator, n)
-                        for it, off, n in self._patterns[pid].events]
-                for item, num, den, count in evs:
-                    t = _raw_fraction(s_int * den + num, den)
-                    times = delivery_times[item]
-                    if count == 1:
-                        times.append(t)
-                    else:
-                        times.extend([t] * count)
-            else:
-                for item, off, count in self._patterns[pid].events:
-                    t = start + off
-                    times = delivery_times[item]
-                    for _ in range(count):
-                        times.append(t)
+        general-purpose normalizing constructor can be skipped.  The
+        cyclic collector is paused meanwhile (see :func:`_gc_paused`)."""
+        with _gc_paused():
+            delivery_times: Dict[Item, List[object]] = {
+                it: [] for it in self._delivery_items}
+            num_den: Dict[int, List[Tuple[Item, int, int, int]]] = {}
+            for start, pid in zip(self._period_starts, self._period_pattern):
+                s_int = start if type(start) is int else (
+                    start.numerator if isinstance(start, Fraction)
+                    and start.denominator == 1 else None)
+                if _FAST_FRACTION and s_int is not None:
+                    evs = num_den.get(pid)
+                    if evs is None:
+                        evs = num_den[pid] = [
+                            (it, Fraction(off).numerator,
+                             Fraction(off).denominator, n)
+                            for it, off, n in self._patterns[pid].events]
+                    for item, num, den, count in evs:
+                        t = _raw_fraction(s_int * den + num, den)
+                        times = delivery_times[item]
+                        if count == 1:
+                            times.append(t)
+                        else:
+                            times.extend([t] * count)
+                else:
+                    for item, off, count in self._patterns[pid].events:
+                        t = start + off
+                        times = delivery_times[item]
+                        for _ in range(count):
+                            times.append(t)
         return SimulationResult(schedule=self.schedule,
                                 periods=self.periods_run,
                                 horizon=self.time,

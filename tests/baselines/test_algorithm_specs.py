@@ -192,10 +192,8 @@ def test_verify_flags_off_plan_and_missing_rates():
 # seed-baseline bridges (ISSUE 10 satellite: shared verify path)
 # ----------------------------------------------------------------------
 def test_direct_scatter_run_passes_shared_verification(fig2_problem):
-    from repro.baselines import direct_scatter, direct_scatter_solution
+    from repro.baselines import direct_scatter_solution
 
-    run = direct_scatter(fig2_problem, n_ops=4)
-    assert run.correct  # includes the analytic twin's verify() errors now
     sol = direct_scatter_solution(fig2_problem)
     assert sol.exact
     assert sol.verify() == []
@@ -205,6 +203,7 @@ def test_direct_scatter_run_passes_shared_verification(fig2_problem):
     res = simulate_collective(sched, fig2_problem, n_periods=7,
                               collective="direct-scatter",
                               record_trace=False)
+    assert res.correct
     assert res.steady_window_throughput(periods=3) == sol.throughput
 
 

@@ -61,6 +61,16 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose_matchings([("s", "r", 3)], cap=2)
 
+    def test_float_weights_rejected_up_front(self):
+        # float deficits need not cancel, so padding or the matching
+        # search could fail deep inside; inexact weights are refused first
+        edges = [(3, 3, 0.1), (2, 3, 0.7), (2, 3, 0.3), (1, 1, 0.3),
+                 (1, 0, 1 / 3), (2, 1, 0.3)]
+        with pytest.raises(TypeError, match="need exact rational"):
+            decompose_matchings(edges)
+        with pytest.raises(TypeError):
+            decompose_matchings([("s", "r", 1)], cap=1.5)
+
     def test_empty_input(self):
         assert decompose_matchings([]) == []
 

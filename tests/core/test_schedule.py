@@ -70,6 +70,21 @@ class TestScheduleFromRates:
                                     integral_times="never")
         assert sched.period == 2
 
+    def test_float_unit_times_rejected_up_front(self):
+        F = Fraction
+        rates = {("a", "b", ("m", 1)): (F(1, 2), 0.1),
+                 ("a", "c", ("m", 2)): (F(1, 2), 0.2),
+                 ("d", "b", ("m", 3)): (F(1, 2), 0.3)}
+        deliveries = {("m", 1): "b", ("m", 2): "c", ("m", 3): "b"}
+        with pytest.raises(TypeError, match="need exact rational"):
+            schedule_from_rates(rates, throughput=F(1, 2),
+                                deliveries=deliveries,
+                                integral_times="never")
+        compute = {("b", "y"): (1, ("x", "x2"), 0.5)}
+        with pytest.raises(TypeError):
+            schedule_from_rates({("a", "b", "x"): (1, F(1, 2))}, 1,
+                                {"y": "b"}, compute_rates=compute)
+
     def test_slot_durations_sum_to_period(self):
         sched = schedule_from_rates(self.simple_rates(), Fraction(1, 2),
                                     {"m": "b"})

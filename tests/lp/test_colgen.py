@@ -14,7 +14,7 @@ Four layers are pinned here:
   and the Dijkstra path pricer against an enumerable graph — including
   the preconditions under which it must decline (``None``) and leave
   the block to LP pricing.
-- **Determinism.** ``jobs ∈ {1, 2, 4}`` must produce the identical
+- **Determinism.** Two solves of one LP must produce the identical
   solution *and* the identical admitted column set (``columns_digest``),
   per the contract in :mod:`repro.lp.colgen`'s docstring.
 - **Routing.** ``backend="colgen"`` through dispatch, auto-routing above
@@ -30,8 +30,7 @@ import pytest
 from repro.collectives import get_collective
 from repro.core.scatter import ScatterProblem, build_scatter_lp
 from repro.lp import dispatch
-from repro.lp.colgen import (_BlockPricer, _dijkstra_price, detect,
-                             resolve_jobs, solve_colgen)
+from repro.lp.colgen import _BlockPricer, _dijkstra_price, detect, solve_colgen
 from repro.lp.exact_simplex import ExactSimplexSolver
 from repro.lp.model import LinearProgram
 from repro.lp.revised_simplex import (IncrementalColumnMaster,
@@ -206,29 +205,21 @@ class TestDifferential:
 
 
 class TestDeterminism:
-    def test_jobs_invariance(self):
-        """jobs ∈ {1, 2, 4}: identical solution values, identical
-        admitted column set, identical round/pricing counters."""
+    def test_serial_solves_are_identical(self):
+        """Two solves: identical solution values, identical admitted
+        column set, identical round/pricing counters — and the column
+        set pinned, so a change in admission order cannot slip by."""
         g = gen.heterogenize(gen.ring(8), seed=3)
         nodes = g.compute_nodes()
         lp = build_scatter_lp(ScatterProblem(g, nodes[0], nodes[1:]))
-        runs = {jobs: solve_colgen(lp, jobs=jobs) for jobs in (1, 2, 4)}
-        base = runs[1]
+        base, again = solve_colgen(lp), solve_colgen(lp)
         assert base.optimal and base.stats["rounds"] >= 2
-        for jobs, sol in runs.items():
-            assert sol.values == base.values, f"jobs={jobs}"
-            for key in ("columns_digest", "rounds", "columns",
-                        "columns_priced", "seed_columns"):
-                assert sol.stats[key] == base.stats[key], (jobs, key)
-
-    def test_resolve_jobs_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs() == 1
-        assert resolve_jobs(3) == 3
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        assert resolve_jobs() == 2
-        monkeypatch.setenv("REPRO_JOBS", "junk")
-        assert resolve_jobs() == 1
+        assert base.objective == Fraction(1, 14)
+        assert base.stats["columns_digest"] == "f0606b9ea34c08ec"
+        assert again.values == base.values
+        for key in ("columns_digest", "rounds", "columns",
+                    "columns_priced", "seed_columns"):
+            assert again.stats[key] == base.stats[key], key
 
 
 class TestFallbacksAndRouting:

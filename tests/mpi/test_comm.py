@@ -1,10 +1,13 @@
 """Unit tests for the simulated MPI communicator."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.mpi.comm import SimComm
-from repro.platform.examples import figure6_platform
+from repro.platform.examples import figure2_platform, figure6_platform
 from repro.platform.generators import complete
+from repro.platform.graph import PlatformGraph
 from repro.sim.operators import SeqConcat, noncommutative_reduce
 
 
@@ -33,7 +36,7 @@ class TestSingleShot:
         values = ["x", "y", "z"]
         out, makespan = comm.scatter(values, root=0)
         assert out == values
-        assert makespan > 0
+        assert makespan == 2
 
     def test_scatter_wrong_arity(self, comm):
         with pytest.raises(ValueError):
@@ -43,7 +46,56 @@ class TestSingleShot:
         values = [SeqConcat.leaf(j, 0) for j in range(3)]
         result, makespan = comm.reduce(values, root=0)
         assert result == noncommutative_reduce(values)
-        assert makespan > 0
+        # two unit receives, then two merges at speed 2, all exact
+        assert makespan == 3 and isinstance(makespan, Fraction)
+
+
+def _graph(*edges):
+    g = PlatformGraph()
+    for src, dst in edges:
+        g.add_edge(src, dst, 1)
+    return g
+
+
+class TestPortClock:
+    """Single-shot makespans pin the one-port list schedule behind them."""
+
+    def test_transfer_duration(self):
+        _, makespan = SimComm(figure2_platform(), ["Pa", "P0"]).scatter([0, 1])
+        assert makespan == Fraction(2, 3)  # size 1 x cost 2/3
+
+    def test_makespan(self, comm):
+        # the root's two unit sends back to back
+        assert comm.scatter([0, 1, 2])[1] == 2
+
+    def test_sends_serialize_on_sender(self):
+        comm = SimComm(figure2_platform(), ["Ps", "Pa", "Pb"])
+        assert comm.scatter([0, 1, 2])[1] == 2
+
+    def test_receives_serialize_on_receiver(self):
+        # a router root merges nothing: the makespan is the last receive
+        comm = SimComm(_graph(("a", "x"), ("b", "x")), ["x", "a", "b"])
+        values = [SeqConcat.leaf(j, 0) for j in range(3)]
+        assert comm.reduce(values)[1] == 2
+
+    def test_disjoint_transfers_overlap(self):
+        # s -> b runs while a forwards to t
+        comm = SimComm(_graph(("s", "a"), ("a", "t"), ("s", "b")),
+                       ["s", "t", "b"])
+        assert comm.scatter([0, 1, 2])[1] == 2
+
+    def test_route_transfer_store_and_forward(self):
+        _, makespan = SimComm(figure2_platform(), ["Ps", "P1"]).scatter([0, 1])
+        assert makespan == Fraction(7, 3)  # 1 (Ps->Pb) + 4/3 (Pb->P1)
+
+    def test_ready_time_respected(self):
+        # a's send port is free at 1, but t's message only reaches a at 2
+        comm = SimComm(_graph(("s", "a"), ("a", "t")), ["s", "a", "t"])
+        assert comm.scatter([0, 1, 2])[1] == 3
+
+    def test_compute_serializes(self, comm):
+        # fig6: receives end at 2, then node 0 runs two 1/2 merges in turn
+        assert comm.reduce([SeqConcat.leaf(j, 0) for j in range(3)])[1] == 3
 
 
 class TestSeries:
