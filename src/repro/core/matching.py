@@ -12,13 +12,18 @@ We implement the classical Birkhoff–von-Neumann-style constructive proof:
 
 1. pad with dummy nodes/edges until every port's weighted degree is exactly
    ``T`` (possible because total sender weight equals total receiver weight),
-2. the padded multigraph is weighted-regular, so by Hall's theorem its
-   support contains a perfect matching; find one (Kuhn's augmenting paths),
+2. scale every weight by the lcm of their denominators, so the peeling
+   runs on an integer micro-unit scale; the padded multigraph is
+   weighted-regular, so by Hall's theorem its support contains a perfect
+   matching; find one with Kuhn's augmenting paths, each an iterative
+   (explicit-stack) depth-first search,
 3. peel off the minimum weight ``θ`` along that matching — regularity is
    preserved and at least one edge disappears, so at most ``|E| + |U| + |V|``
-   matchings are produced (polynomially many, as Theorem 1 requires),
+   matchings are produced (polynomially many, as Theorem 1 requires).  The
+   matching is warm-started: only the edges that reach zero leave it, and
+   only their senders are re-augmented for the next peel,
 4. report each matching restricted to its real (non-dummy) edges with its
-   duration ``θ``; durations sum to exactly ``T``.
+   duration ``θ`` converted back exactly; durations sum to exactly ``T``.
 
 Weights must be exact (int or ``Fraction``): with floats the padding's
 deficits need not cancel, so inexact input is refused up front.
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 PortId = Hashable
@@ -41,14 +47,6 @@ def require_exact(x) -> None:
     """Raise ``TypeError`` unless ``x`` is an int or a ``Fraction``."""
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"need exact rational, got {type(x).__name__}")
-
-
-@dataclass
-class _MEdge:
-    u: PortId
-    v: PortId
-    weight: object
-    real: bool
 
 
 @dataclass
@@ -80,12 +78,15 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
     degree.  Defaults to the maximum weighted degree.  Returned durations sum
     to ``cap`` (idle time shows up as matchings with an empty ``pairs`` list
     when every remaining edge is a dummy).  Weights and ``cap`` must be
-    int or ``Fraction`` (``TypeError`` otherwise).
+    int or ``Fraction`` (``TypeError`` otherwise); durations are
+    ``Fraction`` when any of them is, ``int`` otherwise.
     """
     for _u, _v, w in edges:
         require_exact(w)
     if cap is not None:
         require_exact(cap)
+    exact = isinstance(cap, Fraction) or any(
+        isinstance(w, Fraction) for _u, _v, w in edges)
     edges = [(u, v, w) for (u, v, w) in edges if w > 0]
     if not edges:
         return []
@@ -96,7 +97,9 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
     elif maxdeg > cap:
         raise ValueError(f"port degree {maxdeg} exceeds cap {cap}")
 
-    work: List[_MEdge] = [_MEdge(u, v, w, True) for (u, v, w) in edges]
+    # (sender, receiver, weight, real?) — padding edges are not real
+    work: List[Tuple[PortId, PortId, object, bool]] = [
+        (u, v, w, True) for (u, v, w) in edges]
 
     # --- pad to a weighted-regular bipartite multigraph of degree `cap` ---
     senders = list(du)
@@ -117,7 +120,7 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
     while iu < len(su) and iv < len(sv):
         u, v = su[iu], sv[iv]
         w = min(deficit_u[u], deficit_v[v])
-        work.append(_MEdge(u, v, w, False))
+        work.append((u, v, w, False))
         deficit_u[u] -= w
         deficit_v[v] -= w
         if deficit_u[u] == 0:
@@ -127,55 +130,80 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
     if any(deficit_u[u] != 0 for u in senders) or any(deficit_v[v] != 0 for v in receivers):
         raise DecompositionError("padding failed — unbalanced deficits")
 
-    # --- peel perfect matchings ---
+    # --- peel perfect matchings on the integer micro-unit scale ---
+    scale = lcm(*(Fraction(w).denominator for _u, _v, w, _r in work))
+    sid = {u: i for i, u in enumerate(senders)}
+    rid = {v: i for i, v in enumerate(receivers)}
+    e_u = [sid[u] for u, _v, _w, _r in work]
+    e_v = [rid[v] for _u, v, _w, _r in work]
+    e_w = [int(w * scale) for _u, _v, w, _r in work]
+    adj: List[List[int]] = [[] for _ in senders]
+    for k, u in enumerate(e_u):
+        adj[u].append(k)
+    match_u = [-1] * n
+    match_v = [-1] * n
+    seen = [-1] * n
+    searches = 0
+    free = list(range(n))
+    left = int(cap * scale)     # every port's remaining weighted degree
     out: List[Matching] = []
-    while work:
-        match = _perfect_matching(work, senders, receivers)
-        theta = min(e.weight for e in match)
-        pairs = [(e.u, e.v) for e in match if e.real]
-        out.append(Matching(duration=theta, pairs=pairs))
-        nxt: List[_MEdge] = []
-        matched = set(id(e) for e in match)
-        for e in work:
-            if id(e) in matched:
-                e.weight = e.weight - theta
-            if e.weight > 0:
-                nxt.append(e)
-        work = nxt
-    return out
-
-
-def _perfect_matching(edges: List[_MEdge], senders: List[PortId],
-                      receivers: List[PortId]) -> List[_MEdge]:
-    """Perfect matching on the support of a regular bipartite multigraph.
-
-    Kuhn's augmenting-path algorithm over edge objects.  Existence is
-    guaranteed by regularity (Hall's condition); failure raises.
-    """
-    adj: Dict[PortId, List[_MEdge]] = {u: [] for u in senders}
-    for e in edges:
-        adj[e.u].append(e)
-    match_v: Dict[PortId, _MEdge] = {}
-
-    def try_augment(u: PortId, visited: set) -> bool:
-        for e in adj[u]:
-            if e.v in visited:
-                continue
-            visited.add(e.v)
-            cur = match_v.get(e.v)
-            if cur is None or try_augment(cur.u, visited):
-                match_v[e.v] = e
-                return True
-        return False
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * (len(senders) + len(receivers)) + 100))
-    try:
-        for u in senders:
-            if not try_augment(u, set()):
+    while True:
+        for u in free:
+            searches += 1
+            if not _augment(u, adj, e_u, e_v, match_u, match_v, seen, searches):
                 raise DecompositionError(
-                    f"no perfect matching — graph not regular? stuck at {u!r}")
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return list(match_v.values())
+                    f"no perfect matching — graph not regular? stuck at "
+                    f"{senders[u]!r}")
+        theta = min(e_w[k] for k in match_u)
+        out.append(Matching(
+            duration=Fraction(theta, scale) if exact else theta,
+            pairs=[work[k][:2] for k in match_u if work[k][3]]))
+        free = []
+        for u, k in enumerate(match_u):
+            e_w[k] -= theta
+            if e_w[k] == 0:
+                adj[u].remove(k)
+                match_u[u] = match_v[e_v[k]] = -1
+                free.append(u)
+        left -= theta
+        if left == 0:
+            return out
+
+
+def _augment(root: int, adj: List[List[int]], e_u: List[int], e_v: List[int],
+             match_u: List[int], match_v: List[int], seen: List[int],
+             stamp: int) -> bool:
+    """Match free sender ``root`` along an augmenting path (Kuhn's step).
+
+    Depth-first over an explicit stack, so the path length is not bounded
+    by the interpreter's recursion limit.  ``seen[v] == stamp`` marks the
+    receivers this search already visited.
+    """
+    stack = [root]              # senders on the current alternating path
+    cursor = [0]                # next adjacency index to try, per sender
+    path: List[int] = []        # path[i] reaches the receiver stack[i + 1] holds
+    while stack:
+        edges = adj[stack[-1]]
+        i = cursor[-1]
+        while i < len(edges):
+            k = edges[i]
+            i += 1
+            v = e_v[k]
+            if seen[v] == stamp:
+                continue
+            seen[v] = stamp
+            path.append(k)
+            if match_v[v] < 0:          # free receiver: flip the path
+                for j in path:
+                    match_u[e_u[j]] = match_v[e_v[j]] = j
+                return True
+            cursor[-1] = i
+            stack.append(e_u[match_v[v]])
+            cursor.append(0)
+            break
+        else:                           # dead end: back up one edge
+            stack.pop()
+            cursor.pop()
+            if path:
+                path.pop()
+    return False

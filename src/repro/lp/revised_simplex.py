@@ -47,6 +47,12 @@ from repro.lp.solution import LPSolution, SolveStatus
 Label = Tuple[str, object]
 SpVec = Dict[int, Fraction]
 
+
+class SimplexInvariantError(RuntimeError):
+    """An exact-arithmetic invariant of the revised simplex failed (a bug,
+    never an outcome of the LP itself)."""
+
+
 #: Consecutive degenerate pivots tolerated before Bland's rule kicks in
 #: (reset on the next nondegenerate pivot) — same policy as the tableau.
 DEGENERACY_LIMIT = 40
@@ -1008,8 +1014,10 @@ class _Core:
                 status = "unbounded"
                 break
             alpha, aden = self.pivot_row_alpha(r)
-            assert Fraction(alpha[q], aden) == w[r], \
-                "pivot row/column disagree"
+            if Fraction(alpha[q], aden) != w[r]:
+                raise SimplexInvariantError(
+                    f"pivot row/column disagree at row {r}, column {q}: "
+                    f"{Fraction(alpha[q], aden)} != {w[r]}")
             theta = self.x_b[r] / w[r]
             self.apply_pivot(r, q, w, theta, alpha, aden)
             self.stats["phase%d_pivots" % phase] += 1
@@ -1117,8 +1125,10 @@ class _Core:
                 status = "infeasible"      # dual unbounded
                 break
             w = self.ftran(self.column(q))
-            assert w.get(r) == Fraction(alpha[q], aden), \
-                "pivot row/column disagree"
+            if w.get(r) != Fraction(alpha[q], aden):
+                raise SimplexInvariantError(
+                    f"pivot row/column disagree at row {r}, column {q}: "
+                    f"{w.get(r)} != {Fraction(alpha[q], aden)}")
             theta = x_b[r] / w[r]
             self.apply_pivot(r, q, w, theta, alpha, aden)
             self.stats["dual_pivots"] += 1
@@ -1450,7 +1460,9 @@ class IncrementalColumnMaster:
     def resolve(self) -> MasterResult:
         """Phase-2 continuation from the current (feasible) basis."""
         core = self.core
-        assert core is not None
+        if core is None:
+            raise SimplexInvariantError(
+                "resolve() needs a live master core, got None")
         piv0 = int(core.stats["pivots"])
         core.compute_d(2)
         status = core.primal(2, self.solver.max_iterations)

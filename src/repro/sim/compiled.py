@@ -71,6 +71,11 @@ from repro.sim.executor import SimulationResult
 NodeId = Hashable
 Item = Hashable
 
+
+class CompileError(ValueError):
+    """A schedule cannot be lowered to the compiled engine's tables."""
+
+
 #: Micro-unit prefix sums must fit comfortably in int64.
 _MU_LIMIT = 1 << 62
 
@@ -199,13 +204,14 @@ def compile_schedule(schedule: PeriodicSchedule,
 
     ``supplies`` is the set (or mapping) of ``(node, item)`` supply keys;
     ``extra_keys`` forces additional buffer keys into the key table (used
-    when carrying state across a recompile).  Raises :class:`ValueError`
-    when the schedule is not compilable — callers should consult
-    :func:`compile_unsupported` (or engine auto-dispatch) first.
+    when carrying state across a recompile).  Raises :class:`CompileError`
+    (a ``ValueError``) when the schedule is not compilable — callers
+    should consult :func:`compile_unsupported` (or engine auto-dispatch)
+    first.
     """
     reason = compile_unsupported(schedule)
     if reason is not None:
-        raise ValueError(f"cannot compile {schedule.name!r}: {reason}")
+        raise CompileError(f"cannot compile {schedule.name!r}: {reason}")
 
     mu = 1
     for slot in schedule.slots:
@@ -290,7 +296,11 @@ def compile_schedule(schedule: PeriodicSchedule,
             t_land.append(land_id(tr.dst, tr.item))
             t_slot.append(si)
             budget = Fraction(tr.units) * mu
-            assert budget.denominator == 1
+            if budget.denominator != 1:
+                raise CompileError(
+                    f"transfer {tr.src!r}->{tr.dst!r} of {tr.item!r}: "
+                    f"{tr.units} units x micro-unit scale {mu} = {budget} "
+                    f"is not integral")
             t_budget.append(int(budget))
             t_pair.append((tr.src, tr.dst))
             t_unit_time.append(Fraction(tr.time) / Fraction(tr.units))

@@ -1,5 +1,7 @@
 """Unit tests for the bipartite matching decomposition."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,6 +109,74 @@ class TestDecompose:
         for m in ms:
             assert len(m.pairs) == 2
         check_decomposition(edges, ms, 2)
+
+
+#: Weights the randomized instances draw from: mixed denominators plus
+#: plain ints, so the micro-unit scale is a nontrivial lcm.
+MIXED_WEIGHTS = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 12),
+                 Fraction(3, 4), Fraction(2, 5), 1, 2)
+
+
+def random_multigraph(rng, all_int):
+    """Exact bipartite multigraph: unequal sides, parallel edges allowed."""
+    senders = [f"s{i}" for i in range(rng.randint(1, 6))]
+    receivers = [f"r{j}" for j in range(rng.randint(1, 6))]
+    edges = []
+    for _ in range(rng.randint(1, 14)):
+        w = rng.randint(1, 9) if all_int else rng.choice(MIXED_WEIGHTS)
+        edges.append((rng.choice(senders), rng.choice(receivers), w))
+    if rng.random() < 0.3:          # a parallel copy of an existing edge
+        u, v, _w = rng.choice(edges)
+        edges.append((u, v, rng.randint(1, 3) if all_int
+                      else rng.choice(MIXED_WEIGHTS)))
+    return edges
+
+
+class TestRandomizedDecompositions:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_multigraph(self, seed):
+        rng = random.Random(seed)
+        all_int = seed % 4 == 0
+        edges = random_multigraph(rng, all_int)
+        du, dv = weighted_degrees(edges)
+        maxdeg = max(list(du.values()) + list(dv.values()))
+        cap = None
+        if seed % 3 == 0:           # cap above the maximum degree
+            cap = maxdeg + (rng.randint(1, 4) if all_int
+                            else rng.choice(MIXED_WEIGHTS))
+        ms = decompose_matchings(edges, cap=cap)
+        check_decomposition(edges, ms, maxdeg if cap is None else cap)
+        assert len(ms) <= len(edges) + len(du) + len(dv)
+        exact = any(isinstance(x, Fraction) for x in
+                    [w for _u, _v, w in edges] + [cap])
+        for m in ms:
+            if exact:
+                assert isinstance(m.duration, Fraction)
+            else:
+                assert type(m.duration) is int
+
+
+class TestDeepAugmentingPaths:
+    def test_2000_ports_never_touch_the_recursion_limit(self, monkeypatch):
+        """One augmenting path runs through all 1000 senders.
+
+        Sender ``s_i`` lists ``r_{i+1}`` before ``r_i``, so the greedy
+        pass leaves ``s_999`` with only taken receivers and the search
+        must walk the whole chain back to ``r_0``: deeper than the
+        default recursion limit, yet the search is iterative.
+        """
+        def refuse(_limit):
+            raise AssertionError("decomposition touched the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        n = 1000
+        edges = []
+        for i in range(n - 1):
+            edges += [(f"s{i}", f"r{i + 1}", 1), (f"s{i}", f"r{i}", 1)]
+        edges.append((f"s{n - 1}", f"r{n - 1}", 1))
+        ms = decompose_matchings(edges)
+        check_decomposition(edges, ms, 2)
+        assert len(ms) == 2
 
 
 class TestWeightedDegrees:

@@ -99,6 +99,30 @@ class TestScheduleFromRates:
         assert sched.compute_time("b") == sched.period * Fraction(1, 3)
         assert sched.validate() == []
 
+    def test_cluster401_shape(self):
+        """A hub fans one item per leaf out through 20 relays (19 leaves
+        each) at rate 1/400, unit time 1: the clustered rate table whose
+        schedule build the benchmark's schedule workload times."""
+        rate, unit = Fraction(1, 400), Fraction(1)
+        rates, deliveries = {}, {}
+        for r in range(20):
+            for i in range(19):
+                item = f"m{r}_{i}"
+                rates[("hub", f"R{r}", item)] = (rate, unit)
+                rates[(f"R{r}", f"L{r}_{i}", item)] = (rate, unit)
+                deliveries[item] = f"L{r}_{i}"
+        sched = schedule_from_rates(rates, rate, deliveries)
+        assert sched.period == 400
+        assert len(sched.slots) <= 328
+        assert sched.validate() == []
+        send, recv = {}, {}
+        for (i, j, _item), (r, t) in rates.items():
+            send[i] = send.get(i, 0) + r * t * sched.period
+            recv[j] = recv.get(j, 0) + r * t * sched.period
+        for node in set(send) | set(recv):
+            assert sched.busy_time(node) == (send.get(node, 0),
+                                             recv.get(node, 0))
+
     def test_compute_overload_rejected(self):
         rates = {("a", "b", "x"): (1, Fraction(1, 2))}
         compute = {("b", "y"): (3, ("x", "x2"), Fraction(1, 2))}  # load 3/2

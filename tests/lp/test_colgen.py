@@ -34,7 +34,8 @@ from repro.lp.colgen import _BlockPricer, _dijkstra_price, detect, solve_colgen
 from repro.lp.exact_simplex import ExactSimplexSolver
 from repro.lp.model import LinearProgram
 from repro.lp.revised_simplex import (IncrementalColumnMaster,
-                                      RevisedSimplexSolver)
+                                      RevisedSimplexSolver,
+                                      SimplexInvariantError)
 from repro.lp.solution import SolveStatus
 from repro.platform import generators as gen
 
@@ -326,3 +327,13 @@ class TestIncrementalMaster:
         full = IncrementalColumnMaster(rebuilt,
                                        RevisedSimplexSolver()).solve_full()
         assert full.optimal and full.objective == res2.objective
+
+    def test_resolve_without_live_core_raises_typed_error(self):
+        """The no-core guard is a real check, not an ``assert`` that
+        ``python -O`` would strip."""
+        lp = LinearProgram("master")
+        tp = lp.var("TP")
+        lp.add(tp <= 1, name="edge[cap]")
+        lp.maximize(tp)
+        with pytest.raises(SimplexInvariantError, match="live master core"):
+            IncrementalColumnMaster(lp).resolve()
